@@ -8,6 +8,9 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
+# The root package's tests alone skip every member crate (proptests,
+# fixture pins, commit-path equivalence, recovery); gate them all.
+cargo test --workspace --release -q
 
 # The examples double as end-to-end smoke tests of the public API.
 for example in quickstart iot_edge scientific_workflow tamper_detection; do
@@ -39,8 +42,8 @@ cargo run --release -p hyperprov-bench --bin table_lineage -- --quick
 cargo run --release -p hyperprov-bench --bin table_recovery -- --quick
 
 # Exercises the 10k-client scale machinery in miniature: targeted commit
-# events, the flat-sorted state backend and lazily generated open-loop
-# schedules (the full run is `table_scale` without --quick).
+# events and lazily generated open-loop schedules (the full run is
+# `table_scale` without --quick).
 cargo run --release -p hyperprov-bench --bin table_scale -- --quick
 
 # Perf-regression gate: reruns the quick BENCH-SIM reference workload and

@@ -140,8 +140,8 @@ fn run_cell(
     }
     let goodput = commit.count() as f64 / result.span.as_secs_f64();
     // The "validate" span covers the whole per-block commit (VSCC +
-    // MVCC/apply) in both the legacy and the pipelined path, so its
-    // quantiles are comparable across the sweep.
+    // MVCC/apply) at every lane count, so its quantiles are comparable
+    // across the sweep.
     let validate = net
         .sim
         .tracer()

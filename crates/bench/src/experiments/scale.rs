@@ -13,8 +13,6 @@
 //! * [`NetworkConfig::with_targeted_events`] — commit events route to the
 //!   submitting client only, instead of a per-event broadcast to every
 //!   subscriber (quadratic at 10k clients);
-//! * [`NetworkConfig::with_flat_state`] — the flat-sorted state backend,
-//!   faster point lookups on a million-key world state;
 //! * lazily generated open-loop schedules
 //!   ([`crate::runner::run_open_loop_lazy`]) — the million-command
 //!   schedule never materialises in memory.
@@ -63,7 +61,6 @@ pub fn scale_campaign(quick: bool) -> ScaleReport {
 
     let config = NetworkConfig::desktop(clients)
         .with_seed(SEED)
-        .with_flat_state()
         .with_targeted_events()
         .with_batch(BatchConfig {
             max_message_count: 500,
@@ -139,7 +136,7 @@ pub fn scale_campaign(quick: bool) -> ScaleReport {
     let mut table = Table::new(
         format!(
             "T-SCALE: {clients} open-loop clients, {total_ops} unique keys \
-             ({rate:.0} ops/s, targeted events, flat state)"
+             ({rate:.0} ops/s, targeted events)"
         ),
         &["metric", "value"],
     );

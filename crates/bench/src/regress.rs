@@ -46,8 +46,8 @@ pub const HOST_RATIO: f64 = 20.0;
 pub const BASELINE_EVENTS_FLOOR: f64 = 217_919.0;
 
 /// Shape ceiling on the committed quick T-SCALE profile's peak RSS: the
-/// scale machinery (timer wheel, interned names, flat state backend,
-/// lazy schedules) must keep the quick run's footprint modest.
+/// scale machinery (timer wheel, interned names, lazy schedules) must
+/// keep the quick run's footprint modest.
 pub const SCALE_RSS_CEILING: f64 = 256.0 * 1024.0 * 1024.0;
 
 /// The gate's outcome: the pass/fail table plus the overall verdict.

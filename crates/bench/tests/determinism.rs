@@ -43,8 +43,8 @@ fn fig2_quick_metrics_match_committed_fixture() {
 
 #[test]
 fn pipeline_quick_metrics_match_committed_fixture() {
-    // Covers both commit paths: the serial baseline cell (lanes = 1,
-    // caches off) and the accelerated cell (4 lanes, both caches on).
+    // Covers the baseline commit configuration (lanes = 1, caches off)
+    // and the accelerated one (4 lanes, both caches on).
     let json = pipeline_sweep(true).exporter.to_json();
     assert_eq!(
         json,

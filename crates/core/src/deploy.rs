@@ -136,8 +136,8 @@ pub struct NetworkConfig {
     /// pre-sharding code paths.
     pub channels: Vec<ChannelSpec>,
     /// Peer commit-path acceleration: VSCC lanes and verification caches.
-    /// The default (one lane, no caches) keeps the legacy serial commit
-    /// path; requested lanes are clamped to each peer device's core count.
+    /// The default is one lane and no caches; requested lanes are clamped
+    /// to each peer device's core count.
     pub pipeline: CommitPipeline,
     /// Rolling-window SLOs evaluated during the run (empty = monitoring
     /// off, the default — default-config exports stay byte-identical).
@@ -163,11 +163,6 @@ pub struct NetworkConfig {
     /// nothing; spares are enrolled after all baseline identities so
     /// existing certificates stay byte-identical.
     pub spare_peers: usize,
-    /// Back every peer's world state with the flat-sorted storage backend
-    /// instead of the B-tree default — faster point reads when the key
-    /// count is large (the T-SCALE regime). Off by default so existing
-    /// exports stay byte-identical.
-    pub flat_state: bool,
     /// Deliver each commit event only to the client that submitted the
     /// transaction (keyed by creator certificate) instead of
     /// broadcasting every event to every subscriber of the peer — models
@@ -214,7 +209,6 @@ impl NetworkConfig {
             snapshots: None,
             recovery_metrics: false,
             spare_peers: 0,
-            flat_state: false,
             targeted_events: false,
         }
     }
@@ -248,7 +242,6 @@ impl NetworkConfig {
             snapshots: None,
             recovery_metrics: false,
             spare_peers: 0,
-            flat_state: false,
             targeted_events: false,
         }
     }
@@ -396,15 +389,6 @@ impl NetworkConfig {
         self
     }
 
-    /// Backs every peer's world state with the flat-sorted storage
-    /// backend (large-key-count deployments; see
-    /// [`NetworkConfig::flat_state`]).
-    #[must_use]
-    pub fn with_flat_state(mut self) -> Self {
-        self.flat_state = true;
-        self
-    }
-
     /// Routes each commit event only to the submitting client (see
     /// [`NetworkConfig::targeted_events`]) — required for deployments
     /// with thousands of clients.
@@ -432,7 +416,6 @@ struct JoinKit {
     peer_queue: Option<QueueConfig>,
     snapshots: Option<SnapshotPolicy>,
     recovery_metrics: bool,
-    flat_state: bool,
     /// Pre-enrolled spare identities with their device profiles.
     spares: Vec<(SigningIdentity, DeviceProfile)>,
     next_spare: usize,
@@ -604,15 +587,12 @@ impl HyperProvNetwork {
             let mut committers = Vec::with_capacity(hosted.len());
             for &ci in &hosted {
                 let chan = &chans[ci];
-                let mut committer = Committer::for_channel(
+                let committer = Committer::for_channel(
                     chan.id.clone(),
                     msp.clone(),
                     ChannelPolicies::new(chan.policy.clone()),
                 )
                 .with_indexer(Arc::new(HyperProvIndexer));
-                if config.flat_state {
-                    committer = committer.with_flat_state();
-                }
                 let committer = Rc::new(RefCell::new(committer));
                 channel_ledgers[ci].push((i, committer.clone()));
                 committers.push((ci, committer));
@@ -836,7 +816,6 @@ impl HyperProvNetwork {
             peer_queue: config.peer_queue,
             snapshots: config.snapshots,
             recovery_metrics: config.recovery_metrics,
-            flat_state: config.flat_state,
             spares: spare_identities
                 .into_iter()
                 .enumerate()
@@ -902,15 +881,12 @@ impl HyperProvNetwork {
         let index = self.peers.len();
         let mut committers = Vec::with_capacity(self.kit.chan_info.len());
         for info in &self.kit.chan_info {
-            let mut committer = Committer::for_channel(
+            let committer = Committer::for_channel(
                 info.id.clone(),
                 self.kit.msp.clone(),
                 ChannelPolicies::new(info.policy.clone()),
             )
             .with_indexer(Arc::new(HyperProvIndexer));
-            if self.kit.flat_state {
-                committer = committer.with_flat_state();
-            }
             committers.push(Rc::new(RefCell::new(committer)));
         }
         let lanes = self.kit.pipeline.lanes.clamp(1, device.cores.max(1));

@@ -1,13 +1,16 @@
 //! The committing peer's validation pipeline (VSCC + MVCC) and ledger
 //! apply.
 //!
-//! For each block delivered by ordering, every transaction is checked in
-//! order: envelope decoding, duplicate tx-id, endorsement signatures,
-//! endorsement policy, and MVCC read-version validation. Valid
-//! transactions apply their write sets immediately, so later transactions
-//! in the same block validate against the updated state — exactly
-//! Fabric's serial intra-block validation, which is what produces MVCC
-//! conflicts under contention.
+//! Each block delivered by ordering commits in two phases. The stateless
+//! VSCC phase ([`Committer::vscc_block`]) decodes every envelope and checks
+//! its endorsement signatures and endorsement policy; its per-envelope
+//! verdicts are independent, so a peer may spread them across CPU lanes.
+//! The serial phase ([`Committer::commit_block_prevalidated`]) then walks
+//! the block in order: duplicate tx-id, the VSCC verdict, and MVCC
+//! read-version validation. Valid transactions apply their write sets
+//! immediately, so later transactions in the same block validate against
+//! the updated state — exactly Fabric's serial intra-block validation,
+//! which is what produces MVCC conflicts under contention.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -188,19 +191,6 @@ impl Committer {
         self
     }
 
-    /// Switches the channel's world state to the flat-sorted storage
-    /// backend (see [`hyperprov_ledger::StateDb::flat`]) — faster point
-    /// reads on large key counts. Call before any writes are applied.
-    #[must_use]
-    pub fn with_flat_state(mut self) -> Self {
-        assert!(
-            self.ledger.state.is_empty(),
-            "switch the state backend before applying writes"
-        );
-        self.ledger.state = StateDb::flat();
-        self
-    }
-
     /// The channel this committer serves.
     pub fn channel(&self) -> &ChannelId {
         &self.channel
@@ -275,76 +265,17 @@ impl Committer {
         self.ledger.store.height()
     }
 
-    /// Validates and commits one block.
+    /// Validates and commits one block: [`Committer::vscc_block`] without a
+    /// signature cache, then [`Committer::commit_block_prevalidated`].
     ///
     /// # Errors
     ///
     /// Returns a [`ChainError`] if the block does not extend the chain
     /// (wrong number, broken link or bad data hash); the ledger is
     /// unchanged in that case.
-    pub fn commit_block(&mut self, mut block: Block) -> Result<CommitOutcome, ChainError> {
-        self.check_extends(&block)?;
-
-        let mut events = Vec::with_capacity(block.envelopes.len());
-        let mut codes = Vec::with_capacity(block.envelopes.len());
-        let mut valid = 0u32;
-        let mut invalid = 0u32;
-        let mut bytes_written = 0u64;
-        let mut written_keys = Vec::new();
-        let mut dangling_parents = 0u64;
-
-        for (tx_num, raw) in block.envelopes.iter().enumerate() {
-            let (code, event, creator) = match Envelope::from_raw(raw) {
-                Ok(env) => {
-                    let tx_id = env.tx_id();
-                    let creator = env.proposal.creator.id;
-                    let code = self.validate(&env, &tx_id);
-                    let mut chaincode_event = None;
-                    if code.is_valid() {
-                        let version = Version::new(block.header.number, tx_num as u32);
-                        self.ledger.state.apply_writes(&env.rwset.writes, version);
-                        self.ledger
-                            .history
-                            .append(tx_id, version, &env.rwset.writes);
-                        dangling_parents += self.index_writes(&env.rwset.writes);
-                        bytes_written += env.rwset.write_bytes() as u64;
-                        // The decoded envelope is dropped here anyway, so
-                        // move the written keys and event out instead of
-                        // cloning them.
-                        written_keys.extend(env.rwset.writes.into_iter().map(|w| w.key));
-                        chaincode_event = env.event;
-                    }
-                    self.seen.insert(tx_id);
-                    (code, chaincode_event, Some(creator))
-                }
-                Err(_) => (ValidationCode::BadSignature, None, None),
-            };
-            if code.is_valid() {
-                valid += 1;
-            } else {
-                invalid += 1;
-            }
-            codes.push(code);
-            events.push(CommitEvent {
-                channel: self.channel.clone(),
-                tx_id: raw.tx_id,
-                block_number: block.header.number,
-                code,
-                chaincode_event: event,
-                creator,
-            });
-        }
-
-        block.metadata.codes = codes;
-        self.append_committed(block);
-        Ok(CommitOutcome {
-            events,
-            valid,
-            invalid,
-            bytes_written,
-            written_keys,
-            dangling_parents,
-        })
+    pub fn commit_block(&mut self, block: Block) -> Result<CommitOutcome, ChainError> {
+        let vscc = self.vscc_block(&block, None);
+        self.commit_block_prevalidated(block, vscc)
     }
 
     /// The parallelisable half of validation: decode each envelope and run
@@ -431,13 +362,13 @@ impl Committer {
     /// The serial half of the split commit path: duplicate-tx-id and MVCC
     /// read-version checks plus the state/history apply, consuming the
     /// [`VsccVerdict`]s produced by [`Committer::vscc_block`] for this
-    /// block. Together the two halves decide exactly the same
-    /// [`ValidationCode`] per transaction as [`Committer::commit_block`]:
-    /// both check duplicates before signature/policy verdicts before MVCC,
-    /// and signature and policy checks are pure, so evaluating them
-    /// eagerly in the VSCC phase (even for transactions a serial validator
-    /// would have rejected as duplicates first) cannot change any
-    /// decision.
+    /// block. Together the two halves decide exactly the
+    /// [`ValidationCode`] a serial validator would: duplicates before
+    /// signature/policy verdicts before MVCC. Signature and policy checks
+    /// are pure, so evaluating them eagerly in the VSCC phase (even for
+    /// transactions a serial validator would have rejected as duplicates
+    /// first) cannot change any decision; `tests/commit_equivalence.rs`
+    /// checks this against an independent serial oracle.
     ///
     /// # Errors
     ///
@@ -749,29 +680,6 @@ impl Committer {
                 .filter(|b| b.header.number >= snapshot.manifest.height)
                 .cloned(),
         )
-    }
-
-    fn validate(&self, env: &Envelope, tx_id: &TxId) -> ValidationCode {
-        if self.seen.contains(tx_id) {
-            return ValidationCode::DuplicateTxId;
-        }
-        // Verify every endorsement signature over the agreed message.
-        let msg = endorsement_message(tx_id, &env.payload, &env.rwset);
-        let mut orgs: Vec<&crate::identity::MspId> = Vec::new();
-        for e in &env.endorsements {
-            if !self.msp.verify(&e.endorser, &msg, &e.signature) {
-                return ValidationCode::BadSignature;
-            }
-            orgs.push(&e.endorser.org);
-        }
-        let policy = self.policies.policy_for(&env.proposal.chaincode);
-        if !policy.is_satisfied_by(orgs.iter().copied()) {
-            return ValidationCode::EndorsementPolicyFailure;
-        }
-        if !self.ledger.state.validate_reads(&env.rwset.reads) {
-            return ValidationCode::MvccReadConflict;
-        }
-        ValidationCode::Valid
     }
 }
 
@@ -1132,28 +1040,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_index_identical_on_split_commit_path() {
-        let n = net();
-        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-        let mut legacy = committer(&n, policy.clone()).with_indexer(Arc::new(TestIndexer));
-        let mut split = committer(&n, policy).with_indexer(Arc::new(TestIndexer));
-
-        let envs = vec![
-            envelope(&n, 1, write_set("rec~a", b""), &[0]),
-            envelope(&n, 2, write_set("rec~b", b"a,gone"), &[0]),
-        ];
-        let b_legacy = block_of(&legacy, envs.clone());
-        let out_legacy = legacy.commit_block(b_legacy).unwrap();
-        let b_split = block_of(&split, envs);
-        let verdicts = split.vscc_block(&b_split, None);
-        let out_split = split.commit_block_prevalidated(b_split, verdicts).unwrap();
-
-        assert_eq!(out_legacy.dangling_parents, 1);
-        assert_eq!(out_split.dangling_parents, 1);
-        assert_eq!(legacy.graph().digest(), split.graph().digest());
-    }
-
-    #[test]
     fn snapshot_bootstrap_matches_full_replay() {
         let n = net();
         let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
@@ -1300,74 +1186,5 @@ mod tests {
             BootstrapError::from(ChainError::BrokenLink { at: 2 }),
             BootstrapError::Chain(ChainError::BrokenLink { at: 2 })
         );
-    }
-
-    #[test]
-    fn prevalidated_path_matches_legacy_on_mixed_block() {
-        let n = net();
-        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-        let mut legacy = committer(&n, policy.clone());
-        let mut split = committer(&n, policy);
-        let mut cache = crate::SigVerifyCache::new();
-
-        // A mix: valid, forged signature, MVCC conflict pair, and (in a
-        // second block) a duplicate of the first transaction.
-        let e_valid = envelope(&n, 1, write_set("a", b"1"), &[0]);
-        let mut e_forged = envelope(&n, 2, write_set("b", b"2"), &[0]);
-        e_forged.endorsements[0].signature = Signature(Digest::of(b"forged"));
-        let stale = |nonce: u64| RwSet {
-            reads: vec![KvRead {
-                key: StateKey::new("cc", "hot"),
-                version: None,
-            }],
-            writes: vec![KvWrite {
-                key: StateKey::new("cc", "hot"),
-                value: Some(vec![nonce as u8]),
-            }],
-        };
-        let e_win = envelope(&n, 3, stale(3), &[0]);
-        let e_lose = envelope(&n, 4, stale(4), &[0]);
-        let envs = [&e_valid, &e_forged, &e_win, &e_lose];
-        let blocks = |c: &Committer| {
-            Block::build(
-                c.height(),
-                c.store().tip_hash(),
-                envs.iter().map(|e| e.to_raw()).collect(),
-            )
-        };
-
-        let b1_legacy = blocks(&legacy);
-        let out_legacy = legacy.commit_block(b1_legacy).unwrap();
-        let b1_split = blocks(&split);
-        let verdicts = split.vscc_block(&b1_split, Some(&mut cache));
-        let out_split = split.commit_block_prevalidated(b1_split, verdicts).unwrap();
-
-        let codes = |c: &Committer, h: u64| c.store().block(h).unwrap().metadata.codes.clone();
-        assert_eq!(codes(&legacy, 0), codes(&split, 0));
-        assert_eq!(out_legacy.valid, out_split.valid);
-        assert_eq!(out_legacy.bytes_written, out_split.bytes_written);
-        assert_eq!(out_legacy.written_keys, out_split.written_keys);
-        assert_eq!(legacy.state().state_hash(), split.state().state_hash());
-
-        // Block 2: duplicate of e_valid. The split path runs (cached)
-        // signature checks eagerly, but the serial phase still reports
-        // DuplicateTxId just like the legacy validator.
-        let b2_legacy = Block::build(
-            legacy.height(),
-            legacy.store().tip_hash(),
-            vec![e_valid.to_raw()],
-        );
-        legacy.commit_block(b2_legacy).unwrap();
-        let b2_split = Block::build(
-            split.height(),
-            split.store().tip_hash(),
-            vec![e_valid.to_raw()],
-        );
-        let verdicts = split.vscc_block(&b2_split, Some(&mut cache));
-        assert_eq!(verdicts[0].sig_hits, 1); // same (cert, msg, sig) as block 1
-        split.commit_block_prevalidated(b2_split, verdicts).unwrap();
-        assert_eq!(codes(&legacy, 1), codes(&split, 1));
-        assert_eq!(codes(&split, 1), vec![ValidationCode::DuplicateTxId]);
-        assert_eq!(legacy.state().state_hash(), split.state().state_hash());
     }
 }

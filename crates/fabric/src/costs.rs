@@ -77,8 +77,10 @@ impl CostModel {
             + self.sign
     }
 
-    /// Committing peer's cost to validate one envelope: verify each
-    /// endorsement, policy evaluation and MVCC bookkeeping.
+    /// Committing peer's cost to validate one envelope serially: verify
+    /// each endorsement, policy evaluation and MVCC bookkeeping. The
+    /// commit path charges it in two parts, [`CostModel::vscc_cost`] and
+    /// [`CostModel::mvcc_cost`].
     pub fn validate_cost(&self, envelope: &Envelope) -> SimDuration {
         self.verify * envelope.endorsements.len() as u64 + self.commit_per_tx
     }
@@ -211,7 +213,7 @@ mod tests {
             ],
         };
         assert!(m.validate_cost(&mk(4)) > m.validate_cost(&mk(1)));
-        // The split phases partition the legacy per-envelope cost exactly.
+        // The split phases partition the serial per-envelope cost exactly.
         for n in [0u64, 1, 4] {
             assert_eq!(
                 m.vscc_cost(n, 0) + m.mvcc_cost(),

@@ -175,7 +175,8 @@ impl Carries<FabricMsg> for FabricMsg {
 /// Configuration of a peer's FastFabric-style commit path: how many CPU
 /// lanes the parallel VSCC phase may spread across, and which
 /// verification caches are enabled. The default (one lane, no caches)
-/// reproduces the legacy serial commit path byte for byte.
+/// charges the same CPU work as a serial validator, split into one VSCC
+/// job and one MVCC + apply job per block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitPipeline {
     /// CPU lanes available to the parallel VSCC phase (deployment clamps
@@ -196,14 +197,6 @@ impl Default for CommitPipeline {
             sig_cache: false,
             read_cache: false,
         }
-    }
-}
-
-impl CommitPipeline {
-    /// True when this configuration is exactly the legacy serial commit
-    /// path (single lane, no caches).
-    pub fn is_legacy(&self) -> bool {
-        self.lanes <= 1 && !self.sig_cache && !self.read_cache
     }
 }
 
@@ -303,6 +296,10 @@ struct HotMetricNames {
     blocks: String,
     tx_valid: String,
     tx_invalid: String,
+    // Peer-wide (not channel-namespaced) commit-path names.
+    lanes_busy: String,
+    sigcache_hits: String,
+    sigcache_misses: String,
 }
 
 impl HotMetricNames {
@@ -315,6 +312,9 @@ impl HotMetricNames {
             blocks: channel.metric_name(prefix, "blocks"),
             tx_valid: channel.metric_name(prefix, "tx.valid"),
             tx_invalid: channel.metric_name(prefix, "tx.invalid"),
+            lanes_busy: format!("{prefix}.lanes_busy"),
+            sigcache_hits: format!("{prefix}.sigcache.hits"),
+            sigcache_misses: format!("{prefix}.sigcache.misses"),
         }
     }
 }
@@ -1400,29 +1400,13 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         }
     }
 
+    /// Validates and commits one block: the stateless VSCC phase is
+    /// charged as the makespan of per-envelope costs spread across this
+    /// peer's CPU lanes, then the serial MVCC + apply phase runs on one
+    /// lane. Because the serial phase starts at the *global* CPU busy
+    /// horizon while the next block's VSCC batch fills whichever lanes
+    /// free up first, block N+1's VSCC naturally overlaps block N's apply.
     fn commit_one(&mut self, ctx: &mut Context<'_, M>, channel: &ChannelId, block: Arc<Block>) {
-        if self.pipeline.is_legacy() {
-            // Sole holder in the common case (the orderer's retained copy
-            // has usually been evicted by now); clone only when shared.
-            let block = Arc::try_unwrap(block).unwrap_or_else(|shared| (*shared).clone());
-            self.commit_one_serial(ctx, channel, block);
-        } else {
-            self.commit_one_pipelined(ctx, channel, block);
-        }
-    }
-
-    /// The accelerated commit path: the stateless VSCC phase is charged as
-    /// the makespan of per-envelope costs spread across this peer's CPU
-    /// lanes, then the serial MVCC + apply phase runs on one lane. Because
-    /// the serial phase starts at the *global* CPU busy horizon while the
-    /// next block's VSCC batch fills whichever lanes free up first, block
-    /// N+1's VSCC naturally overlaps block N's apply.
-    fn commit_one_pipelined(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        channel: &ChannelId,
-        block: Arc<Block>,
-    ) {
         let trace = channel.trace_name(&format!("block-{}", block.header.number));
         ctx.span_start(&trace, "validate", &self.metric_prefix);
         let state = self.channels.get(channel).expect("caller checked");
@@ -1451,16 +1435,14 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         }
         if self.sig_cache.is_some() {
             if sig_hits > 0 {
-                ctx.metrics()
-                    .incr(&format!("{}.sigcache.hits", self.metric_prefix), sig_hits);
+                ctx.metrics().incr(&state.names.sigcache_hits, sig_hits);
             }
             if sig_misses > 0 {
-                ctx.metrics().incr(
-                    &format!("{}.sigcache.misses", self.metric_prefix),
-                    sig_misses,
-                );
+                ctx.metrics().incr(&state.names.sigcache_misses, sig_misses);
             }
         }
+        // Sole holder in the common case (the orderer's retained copy has
+        // usually been evicted by now); clone only when shared.
         let owned = Arc::try_unwrap(block).unwrap_or_else(|shared| (*shared).clone());
         let outcome = state
             .committer
@@ -1515,16 +1497,15 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
                     ],
                 );
                 let lanes_busy = ctx.cpu().lanes_busy_at(ctx.now()) as f64;
-                ctx.metrics()
-                    .set_gauge(&format!("{}.lanes_busy", self.metric_prefix), lanes_busy);
+                let names = &self.channels.get(channel).expect("caller checked").names;
+                ctx.metrics().set_gauge(&names.lanes_busy, lanes_busy);
             }
-            Err(err) => {
+            Err(_) => {
                 ctx.span_end(&trace, "validate", &self.metric_prefix);
                 ctx.metrics().incr(
                     &channel.metric_name(&self.metric_prefix, "commit_errors"),
                     1,
                 );
-                let _ = err;
             }
         }
     }
@@ -1571,59 +1552,6 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         let now = ctx.now();
         ctx.tracer()
             .event(now, trace, "dangling_parent", &self.metric_prefix);
-    }
-
-    fn commit_one_serial(&mut self, ctx: &mut Context<'_, M>, channel: &ChannelId, block: Block) {
-        let mut cost = self.costs.block_cost(block.wire_size());
-        for raw in &block.envelopes {
-            if let Ok(env) = Envelope::from_raw(raw) {
-                cost += self.costs.validate_cost(&env);
-                cost += self.costs.apply_cost(
-                    env.rwset.write_bytes() as u64,
-                    env.rwset.writes.len() as u64,
-                );
-            }
-        }
-        // The validate span covers VSCC + MVCC + state apply for the whole
-        // block on this peer; it closes once the modelled CPU finishes.
-        let trace = channel.trace_name(&format!("block-{}", block.header.number));
-        ctx.span_start(&trace, "validate", &self.metric_prefix);
-        let state = self.channels.get(channel).expect("caller checked");
-        let outcome = state.committer.borrow_mut().commit_block(block);
-        match outcome {
-            Ok(outcome) => {
-                let prefix = &self.metric_prefix;
-                ctx.metrics()
-                    .incr(&channel.metric_name(prefix, "blocks"), 1);
-                ctx.metrics().incr(
-                    &channel.metric_name(prefix, "tx.valid"),
-                    outcome.valid as u64,
-                );
-                ctx.metrics().incr(
-                    &channel.metric_name(prefix, "tx.invalid"),
-                    outcome.invalid as u64,
-                );
-                // Goodput SLOs watch committed-transaction events.
-                ctx.slo_event_n("commit.tx", outcome.valid as u64);
-                self.note_dangling(ctx, channel, &trace, outcome.dangling_parents);
-                let sends = self.commit_event_sends(outcome.events);
-                let detail = self.metric_prefix.clone();
-                self.harness.defer(
-                    ctx,
-                    cost,
-                    sends,
-                    vec![SpanClose::new(trace, "validate", detail)],
-                );
-            }
-            Err(err) => {
-                ctx.span_end(&trace, "validate", &self.metric_prefix);
-                ctx.metrics().incr(
-                    &channel.metric_name(&self.metric_prefix, "commit_errors"),
-                    1,
-                );
-                let _ = err;
-            }
-        }
     }
 }
 

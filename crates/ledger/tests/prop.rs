@@ -2,9 +2,12 @@
 //! round-trips, Merkle proofs, MVCC coherence and hash-chain integrity
 //! under arbitrary inputs.
 
+use std::collections::BTreeMap;
+
 use hyperprov_ledger::{
     Block, BlockStore, ChannelId, Decode, Digest, Encode, Encoder, HistoryDb, KvRead, KvWrite,
-    MerkleTree, RawEnvelope, RwSet, Snapshot, StateDb, StateKey, TxId, ValidationCode, Version,
+    MerkleTree, RawEnvelope, RwSet, Sha256, Snapshot, StateDb, StateKey, TxId, ValidationCode,
+    Version, VersionedValue,
 };
 use proptest::prelude::*;
 
@@ -18,6 +21,21 @@ fn arb_state_key() -> impl Strategy<Value = StateKey> {
 
 fn arb_version() -> impl Strategy<Value = Version> {
     (0u64..1_000_000, 0u32..10_000).prop_map(|(b, t)| Version::new(b, t))
+}
+
+/// The documented world-state digest, computed over the model: every
+/// key, value and version in key order, each part length-prefixed.
+fn model_hash(model: &BTreeMap<StateKey, VersionedValue>) -> Digest {
+    let mut hasher = Sha256::new();
+    for (key, vv) in model {
+        for part in [key.namespace.as_bytes(), key.key.as_bytes(), &vv.value] {
+            hasher.update(&(part.len() as u64).to_be_bytes());
+            hasher.update(part);
+        }
+        hasher.update(&vv.version.block_num.to_be_bytes());
+        hasher.update(&vv.version.tx_num.to_be_bytes());
+    }
+    hasher.finalize()
 }
 
 fn arb_write() -> impl Strategy<Value = KvWrite> {
@@ -138,7 +156,7 @@ proptest! {
     }
 
     #[test]
-    fn flat_backend_matches_btree_oracle(
+    fn statedb_matches_btreemap_model(
         batches in proptest::collection::vec(
             proptest::collection::vec(arb_write(), 1..12),
             1..12,
@@ -146,85 +164,99 @@ proptest! {
         probes in proptest::collection::vec(arb_state_key(), 1..8),
     ) {
         // Apply the same write batches (inserts and deletes, arbitrary
-        // namespaces and keys) to both backends and check every read-side
-        // API agrees after each batch.
-        let mut oracle = StateDb::new();
-        let mut flat = StateDb::flat();
+        // namespaces and keys) to the state database and to a plain
+        // ordered-map model, and check every read-side API agrees after
+        // each batch.
+        let mut model: BTreeMap<StateKey, VersionedValue> = BTreeMap::new();
+        let mut db = StateDb::new();
         for (block, writes) in batches.iter().enumerate() {
             let version = Version::new(block as u64 + 1, 0);
-            oracle.apply_writes(writes, version);
-            flat.apply_writes(writes, version);
+            db.apply_writes(writes, version);
+            for w in writes {
+                match &w.value {
+                    Some(value) => {
+                        model.insert(w.key.clone(), VersionedValue { value: value.clone(), version });
+                    }
+                    None => {
+                        model.remove(&w.key);
+                    }
+                }
+            }
 
-            prop_assert_eq!(oracle.len(), flat.len());
-            prop_assert_eq!(oracle.state_hash(), flat.state_hash());
-            let o: Vec<_> = oracle.iter().collect();
-            let f: Vec<_> = flat.iter().collect();
-            prop_assert_eq!(o, f);
+            prop_assert_eq!(db.len(), model.len());
+            prop_assert_eq!(db.state_hash(), model_hash(&model));
+            let d: Vec<_> = db.iter().collect();
+            let m: Vec<_> = model.iter().collect();
+            prop_assert_eq!(d, m);
 
+            let model_version = |k: &StateKey| model.get(k).map(|v| v.version);
             for probe in &probes {
-                prop_assert_eq!(oracle.get(probe), flat.get(probe));
-                prop_assert_eq!(oracle.version(probe), flat.version(probe));
+                prop_assert_eq!(db.get(probe), model.get(probe));
+                prop_assert_eq!(db.version(probe), model_version(probe));
             }
             for w in writes {
-                prop_assert_eq!(oracle.get(&w.key), flat.get(&w.key));
+                prop_assert_eq!(db.get(&w.key), model.get(&w.key));
                 let ns = w.key.namespace.as_str();
-                let o: Vec<_> = oracle.range(ns, "", "").collect();
-                let f: Vec<_> = flat.range(ns, "", "").collect();
-                prop_assert_eq!(o, f);
+                let d: Vec<_> = db.range(ns, "", "").collect();
+                let m: Vec<_> = model.iter().filter(|(k, _)| k.namespace == ns).collect();
+                prop_assert_eq!(d, m);
                 let prefix = &w.key.key[..w.key.key.len().min(2)];
-                let o: Vec<_> = oracle.scan_prefix(ns, prefix).collect();
-                let f: Vec<_> = flat.scan_prefix(ns, prefix).collect();
-                prop_assert_eq!(o, f);
+                let d: Vec<_> = db.scan_prefix(ns, prefix).collect();
+                let m: Vec<_> = model
+                    .iter()
+                    .filter(|(k, _)| k.namespace == ns && k.key.starts_with(prefix))
+                    .collect();
+                prop_assert_eq!(d, m);
             }
 
-            // MVCC validation agrees for reads taken from either backend.
+            // MVCC validation: reads at the model's versions validate,
+            // reads at a version nothing wrote agree with the model.
             let reads: Vec<KvRead> = writes
                 .iter()
-                .map(|w| KvRead { key: w.key.clone(), version: oracle.version(&w.key) })
+                .map(|w| KvRead { key: w.key.clone(), version: model_version(&w.key) })
                 .collect();
-            prop_assert!(flat.validate_reads(&reads));
+            prop_assert!(db.validate_reads(&reads));
             let stale: Vec<KvRead> = writes
                 .iter()
                 .map(|w| KvRead { key: w.key.clone(), version: Some(Version::new(u64::MAX, 0)) })
                 .collect();
-            prop_assert_eq!(oracle.validate_reads(&stale), flat.validate_reads(&stale));
+            let model_ok = stale.iter().all(|r| model_version(&r.key) == r.version);
+            prop_assert_eq!(db.validate_reads(&stale), model_ok);
         }
     }
 
     #[test]
-    fn snapshot_round_trips_on_both_backends(
+    fn snapshot_round_trips_state_and_history(
         writes in proptest::collection::vec(arb_write(), 1..20),
         chunk_entries in 1usize..8,
     ) {
-        // Snapshots captured from either backend are identical, and a
-        // restore reproduces the exact state either way.
-        let mut oracle = StateDb::new();
-        let mut flat = StateDb::flat();
+        // A snapshot verifies, and restoring it reproduces the exact state
+        // and history it was captured from.
+        let mut db = StateDb::new();
         let mut history = HistoryDb::new();
         let version = Version::new(1, 0);
-        oracle.apply_writes(&writes, version);
-        flat.apply_writes(&writes, version);
+        db.apply_writes(&writes, version);
         history.append(TxId(Digest::of(b"t")), version, &writes);
 
-        let channel = ChannelId::new("ch");
-        let snap = |db: &StateDb| Snapshot::capture(
-            &channel,
+        let snap = Snapshot::capture(
+            &ChannelId::new("ch"),
             1,
             Digest::of(b"tip"),
-            db,
+            &db,
             &history,
             vec![TxId(Digest::of(b"t"))],
             Digest::of(b"graph"),
             chunk_entries,
         );
-        let from_oracle = snap(&oracle);
-        let from_flat = snap(&flat);
-        prop_assert_eq!(&from_oracle, &from_flat);
+        prop_assert!(snap.verify().is_ok());
 
-        let restored = from_flat.restore_state();
-        prop_assert_eq!(restored.state_hash(), oracle.state_hash());
-        prop_assert_eq!(restored.len(), flat.len());
-        let restored_history = from_oracle.restore_history();
+        let restored = snap.restore_state();
+        prop_assert_eq!(restored.state_hash(), db.state_hash());
+        prop_assert_eq!(restored.len(), db.len());
+        let r: Vec<_> = restored.iter().collect();
+        let d: Vec<_> = db.iter().collect();
+        prop_assert_eq!(r, d);
+        let restored_history = snap.restore_history();
         prop_assert_eq!(restored_history.total_entries(), history.total_entries());
     }
 

@@ -636,10 +636,23 @@ impl<M> Simulation<M> {
     /// Processes a single event. Returns `false` when the queue is empty or
     /// the simulation was stopped.
     pub fn step(&mut self) -> bool {
+        self.step_until(SimTime::MAX)
+    }
+
+    /// Processes the next live event due at or before `limit`, discarding
+    /// cancelled timers, stale-epoch events and duplicate restart markers
+    /// on the way. Returns `false` when no such event exists (the queue is
+    /// empty or its head is later than `limit`) or the simulation was
+    /// stopped.
+    fn step_until(&mut self, limit: SimTime) -> bool {
         if self.kernel.stopped {
             return false;
         }
         loop {
+            match self.kernel.queue.peek_time() {
+                Some(time) if time <= limit => {}
+                _ => return false,
+            }
             let item = match self.kernel.queue.pop() {
                 Some(item) => item,
                 None => return false,
@@ -709,17 +722,7 @@ impl<M> Simulation<M> {
     /// Runs events with `time <= limit`; afterwards the clock reads `limit`
     /// (even if the queue still holds later events).
     pub fn run_until(&mut self, limit: SimTime) {
-        loop {
-            if self.kernel.stopped {
-                break;
-            }
-            match self.kernel.queue.peek_time() {
-                Some(time) if time <= limit => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
+        while self.step_until(limit) {}
         if self.kernel.now < limit {
             self.kernel.now = limit;
         }
@@ -901,6 +904,53 @@ mod tests {
         sim.run_until(SimTime::from_secs(20));
         assert!(sim.events_processed() > 0);
         assert_eq!(sim.now(), SimTime::from_secs(20));
+    }
+
+    /// Counts delivered messages and records when the first one ran.
+    struct Inbox;
+    impl Actor<()> for Inbox {
+        fn on_event(&mut self, ctx: &mut Context<'_, ()>, event: Event<()>) {
+            if let Event::Message { .. } = event {
+                let now = ctx.now();
+                ctx.metrics().incr("delivered", 1);
+                ctx.metrics().record("delivered.at", now.as_nanos());
+            }
+        }
+    }
+
+    /// Arms a 1 ms timer and cancels it straight away, then sends itself
+    /// a message that arrives at 10 ms.
+    struct CancelThenSend {
+        inbox: ActorId,
+    }
+    impl Actor<()> for CancelThenSend {
+        fn on_event(&mut self, ctx: &mut Context<'_, ()>, event: Event<()>) {
+            if let Event::Timer { token: 0 } = event {
+                let timer = ctx.set_timer(SimDuration::from_millis(1), 1);
+                ctx.cancel_timer(timer);
+                ctx.send(self.inbox, 8, ());
+            }
+        }
+    }
+
+    #[test]
+    fn run_until_does_not_run_past_limit_after_skipping_cancelled_timer() {
+        let mut sim: Simulation<()> = Simulation::new(1);
+        let inbox = sim.add_actor(Box::new(Inbox));
+        let sender = sim.add_actor(Box::new(CancelThenSend { inbox }));
+        sim.network_mut().set_default_link(crate::net::LinkSpec {
+            latency: SimDuration::from_millis(10),
+            bandwidth_bps: u64::MAX,
+            jitter_frac: 0.0,
+        });
+        sim.start_timer(sender, SimDuration::ZERO, 0);
+        sim.run_until(SimTime::from_nanos(5_000_000));
+        assert_eq!(sim.metrics().counter("delivered"), 0);
+        assert_eq!(sim.now(), SimTime::from_nanos(5_000_000));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.metrics().counter("delivered"), 1);
+        let at = sim.metrics().histogram("delivered.at").unwrap().sum();
+        assert!(at >= 10_000_000, "message delivered at {at} ns");
     }
 
     #[test]
