@@ -41,9 +41,9 @@ cargo run --release -p hyperprov-bench --bin table_lineage -- --quick
 # end to end.
 cargo run --release -p hyperprov-bench --bin table_recovery -- --quick
 
-# Exercises the 10k-client scale machinery in miniature: targeted commit
-# events and lazily generated open-loop schedules (the full run is
-# `table_scale` without --quick).
+# Exercises the 10k-client scale machinery in miniature: per-submitter
+# commit events and a lazily generated open-loop schedule (the full run
+# is `table_scale` without --quick).
 cargo run --release -p hyperprov-bench --bin table_scale -- --quick
 
 # Perf-regression gate: reruns the quick BENCH-SIM reference workload and

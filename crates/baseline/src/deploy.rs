@@ -219,21 +219,18 @@ impl OnChainNetwork {
             }
             for (c, &cid) in client_ids.iter().enumerate() {
                 if c % n_peers == i {
-                    actor.subscribe(cid);
+                    actor.subscribe(cid, client_identities[c].certificate().id);
                 }
             }
             let id = sim.add_actor_with_speed(Box::new(actor), config.peer_devices[i].cpu_speed);
             debug_assert_eq!(id, peer_ids[i]);
         }
-        let mut orderer_actor = SoloOrdererActor::<NodeMsg>::for_channel(
+        let orderer_actor = SoloOrdererActor::<NodeMsg>::for_channel(
             "onchain-channel".into(),
             config.batch,
             peer_ids.clone(),
             config.costs,
         );
-        if let Some(queue) = config.orderer_queue {
-            orderer_actor = orderer_actor.with_queue(queue);
-        }
         let id = sim.add_actor_with_speed(Box::new(orderer_actor), config.orderer_device.cpu_speed);
         debug_assert_eq!(id, orderer_id);
 

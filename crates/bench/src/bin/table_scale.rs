@@ -1,5 +1,5 @@
 //! T-SCALE: 10,000 open-loop clients over 1,000,000 unique keys —
-//! targeted commit events and a lazily generated schedule; reports
+//! per-submitter commit events and a lazily generated schedule; reports
 //! modelled goodput plus host events/sec and peak RSS.
 
 fn main() {

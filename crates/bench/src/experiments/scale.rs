@@ -8,14 +8,12 @@
 //! deployment two to three orders of magnitude past the reference
 //! workloads, runnable on one host.
 //!
-//! Scale knobs exercised (all opt-in, defaults stay byte-identical):
-//!
-//! * [`NetworkConfig::with_targeted_events`] — commit events route to the
-//!   submitting client only, instead of a per-event broadcast to every
-//!   subscriber (quadratic at 10k clients);
-//! * lazily generated open-loop schedules
-//!   ([`crate::runner::run_open_loop_lazy`]) — the million-command
-//!   schedule never materialises in memory.
+//! Two properties of the default paths keep this tractable: each commit
+//! event goes only to the client that submitted the transaction (no
+//! per-event broadcast, which would be quadratic at 10k clients), and
+//! [`crate::runner::run_open_loop`] consumes the schedule as an iterator,
+//! so the million-command schedule is built lazily and never
+//! materialises in memory.
 //!
 //! Like BENCH-SIM, the campaign reports deterministic *model* metrics
 //! (completions, goodput, latency quantiles in virtual time) and
@@ -27,7 +25,7 @@ use hyperprov::{HyperProvNetwork, NetworkConfig};
 use hyperprov_fabric::BatchConfig;
 use hyperprov_sim::{json, SimDuration};
 
-use crate::runner::{run_open_loop_lazy, Summary};
+use crate::runner::{run_open_loop, Summary};
 use crate::table::Table;
 use crate::workload::{post_cmd, uniform_arrivals};
 
@@ -61,7 +59,6 @@ pub fn scale_campaign(quick: bool) -> ScaleReport {
 
     let config = NetworkConfig::desktop(clients)
         .with_seed(SEED)
-        .with_targeted_events()
         .with_batch(BatchConfig {
             max_message_count: 500,
             timeout: SimDuration::from_millis(250),
@@ -75,18 +72,14 @@ pub fn scale_campaign(quick: bool) -> ScaleReport {
     // (client, sequence) — `total_ops` distinct keys overall.
     let arrivals = uniform_arrivals(rate, window, clients);
     let per_client = keys_per_client;
-    let result = run_open_loop_lazy(
-        &mut net,
-        &arrivals,
-        SimDuration::from_secs(600),
-        |client, index| {
-            let seq = index / clients as u64;
-            debug_assert!(seq < per_client);
-            let key = format!("scale-c{client:05}-k{seq:03}");
-            let checksum = key.clone().into_bytes();
-            post_cmd(key, &checksum)
-        },
-    );
+    let schedule = arrivals.iter().enumerate().map(|(index, &(at, client))| {
+        let seq = index as u64 / clients as u64;
+        debug_assert!(seq < per_client);
+        let key = format!("scale-c{client:05}-k{seq:03}");
+        let checksum = key.clone().into_bytes();
+        (at, client, post_cmd(key, &checksum))
+    });
+    let result = run_open_loop(&mut net, schedule, SimDuration::from_secs(600));
     // Goodput over the full window from first arrival to quiescence —
     // the sustained rate the modelled system absorbed, not the injection
     // rate.
@@ -136,7 +129,7 @@ pub fn scale_campaign(quick: bool) -> ScaleReport {
     let mut table = Table::new(
         format!(
             "T-SCALE: {clients} open-loop clients, {total_ops} unique keys \
-             ({rate:.0} ops/s, targeted events)"
+             ({rate:.0} ops/s)"
         ),
         &["metric", "value"],
     );

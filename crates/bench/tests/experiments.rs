@@ -1,7 +1,47 @@
 //! Guard tests for the experiment harness: quick-mode runs must produce
 //! tables with the shapes the paper reports.
 
+use hyperprov::{HyperProvNetwork, NetworkConfig};
 use hyperprov_bench::experiments::{batch_sweep, contention_sweep, query_latency};
+use hyperprov_bench::runner::run_open_loop;
+use hyperprov_bench::workload::{payload, poisson_arrivals, store_cmd};
+use hyperprov_sim::{DetRng, SimDuration};
+
+#[test]
+fn open_loop_injects_every_arrival_on_time() {
+    // The Fig. 3 shape: one RPi client under sparse Poisson arrivals, so
+    // batch timeouts and other far events lie between most arrivals.
+    let mut net = HyperProvNetwork::build(&NetworkConfig::rpi(1).with_seed(42));
+    let mut rng = DetRng::new(42).fork("fig3");
+    let arrivals = poisson_arrivals(
+        &mut rng.fork("arrivals"),
+        2.0,
+        SimDuration::from_secs(30),
+        1,
+    );
+    let schedule: Vec<_> = arrivals
+        .iter()
+        .enumerate()
+        .map(|(i, &(at, client))| {
+            (
+                at,
+                client,
+                store_cmd(format!("item-{i}"), payload(&mut rng, 512)),
+            )
+        })
+        .collect();
+    let result = run_open_loop(&mut net, schedule, SimDuration::from_secs(5));
+    assert_eq!(result.issued, arrivals.len() as u64);
+    assert_eq!(result.completions.len(), arrivals.len());
+    for (_, completion) in &result.completions {
+        let scheduled = arrivals[completion.op.0 as usize - 1].0;
+        assert_eq!(
+            completion.started, scheduled,
+            "op {} entered its client late",
+            completion.op.0
+        );
+    }
+}
 
 #[test]
 fn contention_conflicts_grow_with_hot_fraction() {

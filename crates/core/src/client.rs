@@ -1827,10 +1827,11 @@ pub type NodeMsgOf = crate::net::NodeMsg;
 
 impl HyperProvClient {
     /// Which gateway an incoming Fabric message belongs to: the one that
-    /// has the message's transaction in flight. Messages no gateway
-    /// recognises (stale commit notifications for other clients' txs) go
-    /// to gateway 0, which ignores them — exactly the single-gateway
-    /// behaviour.
+    /// has the message's transaction in flight. Peers send a client only
+    /// the commit events of its own transactions, so messages no gateway
+    /// recognises are stale ones (e.g. a commit arriving after its
+    /// deadline fired); they go to gateway 0, which ignores them — exactly
+    /// the single-gateway behaviour.
     fn gateway_for(&self, msg: &FabricMsg) -> usize {
         if self.gateways.len() == 1 {
             return 0;

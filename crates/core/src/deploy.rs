@@ -117,10 +117,6 @@ pub struct NetworkConfig {
     /// Admission-queue bound for every peer (`None` = unbounded, the
     /// paper-faithful work-at-arrival default).
     pub peer_queue: Option<QueueConfig>,
-    /// Admission-queue bound for the ordering service.
-    pub orderer_queue: Option<QueueConfig>,
-    /// Admission-queue bound for the off-chain storage node.
-    pub storage_queue: Option<QueueConfig>,
     /// Ordering-service topology (`Solo` keeps the paper-faithful layout
     /// and leaves every actor id unchanged).
     pub orderer_mode: OrdererMode,
@@ -163,13 +159,6 @@ pub struct NetworkConfig {
     /// nothing; spares are enrolled after all baseline identities so
     /// existing certificates stay byte-identical.
     pub spare_peers: usize,
-    /// Deliver each commit event only to the client that submitted the
-    /// transaction (keyed by creator certificate) instead of
-    /// broadcasting every event to every subscriber of the peer — models
-    /// gateway-side event filtering. Mandatory at the 10k-client scale,
-    /// where the broadcast is quadratic; off by default so existing
-    /// exports stay byte-identical.
-    pub targeted_events: bool,
 }
 
 impl NetworkConfig {
@@ -197,8 +186,6 @@ impl NetworkConfig {
             storage_costs: StorageCosts::default(),
             permissive: false,
             peer_queue: None,
-            orderer_queue: None,
-            storage_queue: None,
             orderer_mode: OrdererMode::Solo,
             retry: None,
             endorse_timeout: None,
@@ -209,7 +196,6 @@ impl NetworkConfig {
             snapshots: None,
             recovery_metrics: false,
             spare_peers: 0,
-            targeted_events: false,
         }
     }
 
@@ -230,8 +216,6 @@ impl NetworkConfig {
             storage_costs: StorageCosts::default(),
             permissive: false,
             peer_queue: None,
-            orderer_queue: None,
-            storage_queue: None,
             orderer_mode: OrdererMode::Solo,
             retry: None,
             endorse_timeout: None,
@@ -242,7 +226,6 @@ impl NetworkConfig {
             snapshots: None,
             recovery_metrics: false,
             spare_peers: 0,
-            targeted_events: false,
         }
     }
 
@@ -264,20 +247,6 @@ impl NetworkConfig {
     #[must_use]
     pub fn with_peer_queue(mut self, queue: QueueConfig) -> Self {
         self.peer_queue = Some(queue);
-        self
-    }
-
-    /// Bounds the orderer's admission queue.
-    #[must_use]
-    pub fn with_orderer_queue(mut self, queue: QueueConfig) -> Self {
-        self.orderer_queue = Some(queue);
-        self
-    }
-
-    /// Bounds the storage node's admission queue.
-    #[must_use]
-    pub fn with_storage_queue(mut self, queue: QueueConfig) -> Self {
-        self.storage_queue = Some(queue);
         self
     }
 
@@ -386,15 +355,6 @@ impl NetworkConfig {
     #[must_use]
     pub fn with_spare_peers(mut self, n: usize) -> Self {
         self.spare_peers = n;
-        self
-    }
-
-    /// Routes each commit event only to the submitting client (see
-    /// [`NetworkConfig::targeted_events`]) — required for deployments
-    /// with thousands of clients.
-    #[must_use]
-    pub fn with_targeted_events(mut self) -> Self {
-        self.targeted_events = true;
         self
     }
 }
@@ -643,20 +603,14 @@ impl HyperProvNetwork {
             if let Some(queue) = config.peer_queue {
                 actor = actor.with_queue(queue);
             }
-            // A client subscribes (for commit events) at its home peer on
-            // every channel it submits to — either for every event
-            // (broadcast) or, under targeted delivery, only for its own
-            // transactions.
+            // A client subscribes at its home peer on every channel it
+            // submits to, for the commit events of its own transactions.
             for (c, &cid) in client_ids.iter().enumerate() {
                 if chans
                     .iter()
                     .any(|chan| chan.hosts[c % chan.hosts.len()] == i)
                 {
-                    if config.targeted_events {
-                        actor.subscribe_targeted(cid, client_identities[c].certificate().id);
-                    } else {
-                        actor.subscribe(cid);
-                    }
+                    actor.subscribe(cid, client_identities[c].certificate().id);
                 }
             }
             let id = sim.add_actor_with_cpu(
@@ -672,15 +626,12 @@ impl HyperProvNetwork {
             let deliver_to: Vec<ActorId> = chan.hosts.iter().map(|&p| peer_ids[p]).collect();
             match chan.mode {
                 OrdererMode::Solo => {
-                    let mut orderer_actor = SoloOrdererActor::<NodeMsg>::for_channel(
+                    let orderer_actor = SoloOrdererActor::<NodeMsg>::for_channel(
                         chan.id.clone(),
                         config.batch,
                         deliver_to,
                         config.costs,
                     );
-                    if let Some(queue) = config.orderer_queue {
-                        orderer_actor = orderer_actor.with_queue(queue);
-                    }
                     let id = sim.add_actor_with_speed(
                         Box::new(orderer_actor),
                         config.orderer_device.cpu_speed,
@@ -708,9 +659,6 @@ impl HyperProvNetwork {
                         if !chan.id.is_default() {
                             actor = actor.with_channel(chan.id.clone());
                         }
-                        if let Some(queue) = config.orderer_queue {
-                            actor = actor.with_queue(queue);
-                        }
                         let id = sim
                             .add_actor_with_speed(Box::new(actor), config.orderer_device.cpu_speed);
                         debug_assert_eq!(id, chan.orderers[i]);
@@ -723,10 +671,7 @@ impl HyperProvNetwork {
         }
 
         let store = Arc::new(MemoryStore::new());
-        let mut storage_actor = StorageActor::<NodeMsg>::new(store.clone(), config.storage_costs);
-        if let Some(queue) = config.storage_queue {
-            storage_actor = storage_actor.with_queue(queue);
-        }
+        let storage_actor = StorageActor::<NodeMsg>::new(store.clone(), config.storage_costs);
         let id = sim.add_actor_with_speed(Box::new(storage_actor), config.storage_device.cpu_speed);
         debug_assert_eq!(id, storage_id);
         sim.set_actor_label(id, "storage");

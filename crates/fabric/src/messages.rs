@@ -318,7 +318,7 @@ impl Decode for Envelope {
     }
 }
 
-/// A commit notification delivered to subscribed clients.
+/// A commit notification delivered to the submitting client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitEvent {
     /// Channel the transaction committed on.
@@ -332,9 +332,8 @@ pub struct CommitEvent {
     /// Chaincode event attached by the contract, if any.
     pub chaincode_event: Option<ChaincodeEvent>,
     /// Enrolment id of the submitting client's certificate (`None` when
-    /// the envelope did not decode). Peers running targeted commit-event
-    /// delivery route the event to that client alone instead of
-    /// broadcasting it to every subscriber.
+    /// the envelope did not decode). Peers route the event to that client
+    /// alone.
     pub creator: Option<CertId>,
 }
 

@@ -12,8 +12,8 @@
 //! what produces the latency/throughput curves of the paper's figures.
 //! Client-facing requests ([`FabricMsg::SubmitProposal`],
 //! [`FabricMsg::Broadcast`]) pass through the harness admission queue:
-//! unbounded by default, or bounded with a backpressure policy via the
-//! actors' `with_queue` builders.
+//! unbounded by default; a peer's can be bounded with a backpressure
+//! policy via [`PeerActor::with_queue`].
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -66,7 +66,7 @@ pub enum FabricMsg {
         /// First block height the peer is missing.
         from: u64,
     },
-    /// Committing peer → subscribed client.
+    /// Committing peer → the client that submitted the transaction.
     Commit(CommitEvent),
     /// Orderer ↔ orderer consensus traffic.
     Raft(Box<RaftMsg<Vec<RawEnvelope>>>),
@@ -383,13 +383,10 @@ pub struct PeerActor<M> {
     registry: ChaincodeRegistry,
     channels: BTreeMap<ChannelId, PeerChannel>,
     costs: CostModel,
-    /// Clients that receive [`FabricMsg::Commit`] notifications.
-    subscribers: Vec<ActorId>,
-    /// Targeted commit-event delivery: creator certificate -> client.
-    /// Events whose creator is registered here go to that client alone;
-    /// everything else falls back to the `subscribers` broadcast. Empty
-    /// (the default) keeps the broadcast-only behaviour unchanged.
-    targeted: HashMap<CertId, ActorId>,
+    /// Commit-event routing: creator certificate -> the client that
+    /// submits with it. Each [`FabricMsg::Commit`] goes to the creator's
+    /// client alone.
+    subscribers: HashMap<CertId, ActorId>,
     harness: ServiceHarness<M>,
     metric_prefix: String,
     /// Commit-path acceleration settings (lanes + caches).
@@ -440,8 +437,7 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
             registry,
             channels,
             costs,
-            subscribers: Vec::new(),
-            targeted: HashMap::new(),
+            subscribers: HashMap::new(),
             harness: ServiceHarness::new(metric_prefix.clone()),
             metric_prefix,
             pipeline: CommitPipeline::default(),
@@ -522,22 +518,11 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         self
     }
 
-    /// Subscribes a client to commit events.
-    pub fn subscribe(&mut self, client: ActorId) {
-        if !self.subscribers.contains(&client) {
-            self.subscribers.push(client);
-        }
-    }
-
-    /// Subscribes a client to commit events *of its own transactions
-    /// only*, keyed by the enrolment id of the certificate it submits
-    /// with. Models gateway-side event filtering: with ten thousand
-    /// clients a per-event broadcast to every subscriber swamps both the
-    /// modelled network and the host, so scale deployments register
-    /// interest instead. Events from other creators (or from envelopes
-    /// that failed to decode) still broadcast to plain subscribers.
-    pub fn subscribe_targeted(&mut self, client: ActorId, interest: CertId) {
-        self.targeted.insert(interest, client);
+    /// Subscribes a client to the commit events of its own transactions,
+    /// keyed by the enrolment id of the certificate it submits with — the
+    /// Fabric Gateway's one commit status per submitted transaction.
+    pub fn subscribe(&mut self, client: ActorId, interest: CertId) {
+        self.subscribers.insert(interest, client);
     }
 
     /// Shared handle to this peer's first channel's ledger (tests and
@@ -1511,24 +1496,17 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
     }
 
     /// Builds the commit-notification sends for a block's events: one
-    /// message straight to the registered client for targeted creators, a
-    /// broadcast to every plain subscriber otherwise.
+    /// message to the client subscribed for each event's creator. Events
+    /// without a creator (envelopes that did not decode) or from an
+    /// unsubscribed creator go to nobody: no client is waiting on them.
     fn commit_event_sends(&self, events: Vec<CommitEvent>) -> Vec<Outbound<M>> {
-        let mut sends = Vec::new();
-        for event in events {
-            let target = event
-                .creator
-                .as_ref()
-                .and_then(|creator| self.targeted.get(creator));
-            if let Some(&client) = target {
-                sends.push((client, 128, M::wrap(FabricMsg::Commit(event))));
-                continue;
-            }
-            for &client in &self.subscribers {
-                sends.push((client, 128, M::wrap(FabricMsg::Commit(event.clone()))));
-            }
-        }
-        sends
+        events
+            .into_iter()
+            .filter_map(|event| {
+                let &client = self.subscribers.get(event.creator.as_ref()?)?;
+                Some((client, 128, M::wrap(FabricMsg::Commit(event))))
+            })
+            .collect()
     }
 
     /// Flags committed records whose parent ids are absent from the graph
@@ -1799,16 +1777,6 @@ impl<M: Carries<FabricMsg>> SoloOrdererActor<M> {
         self.channel.metric_name("orderer", suffix)
     }
 
-    /// Bounds this orderer's admission queue (broadcasts only). A
-    /// broadcast's queue slot frees when its transaction leaves the cutter
-    /// in a cut batch. Under `Nack` the rejected broadcast is dropped with
-    /// an `orderer.nacked` count — the broadcast path has no reply
-    /// channel, so clients observe the loss as a commit timeout.
-    pub fn with_queue(mut self, config: QueueConfig) -> Self {
-        self.harness.set_queue(config);
-        self
-    }
-
     fn retain(&mut self, block: &Arc<Block>) {
         self.retained.push_back(Arc::clone(block));
         while self.retained.len() > self.retain_limit {
@@ -1907,11 +1875,8 @@ impl<M: Carries<FabricMsg>> Actor<M> for SoloOrdererActor<M> {
                                 self.on_broadcast(ctx, env);
                             }
                         }
-                        Admission::Nack(_) => {
-                            let name = self.metric("nacked");
-                            ctx.metrics().incr(&name, 1);
-                        }
-                        Admission::Done => {}
+                        // The orderer's queue is unbounded: nothing is nacked.
+                        Admission::Nack(_) | Admission::Done => {}
                     }
                 }
                 Ok(FabricMsg::DeliverRequest { channel, from }) => {
@@ -2036,10 +2001,10 @@ impl<M: Carries<FabricMsg>> RaftOrdererActor<M> {
         }
     }
 
-    /// Assigns this member to a named channel's ordering cluster (call
-    /// before [`RaftOrdererActor::with_queue`]: it re-derives the queue's
-    /// metric namespace). Metrics and queue gauges are namespaced by the
-    /// channel unless it is the default one.
+    /// Assigns this member to a named channel's ordering cluster (it
+    /// re-derives the admission queue's metric namespace). Metrics and
+    /// queue gauges are namespaced by the channel unless it is the default
+    /// one.
     #[must_use]
     pub fn with_channel(mut self, channel: ChannelId) -> Self {
         let harness_name = if channel.is_default() {
@@ -2054,16 +2019,6 @@ impl<M: Carries<FabricMsg>> RaftOrdererActor<M> {
 
     fn metric(&self, suffix: &str) -> String {
         self.channel.metric_name("orderer", suffix)
-    }
-
-    /// Bounds this member's admission queue (leader broadcasts only).
-    /// Slots free when the admitted transaction applies on this member —
-    /// even if it committed under a later leader. A slot is stranded
-    /// only if its transaction is truly lost (dropped from every log by
-    /// a leadership change before replication).
-    pub fn with_queue(mut self, config: QueueConfig) -> Self {
-        self.harness.set_queue(config);
-        self
     }
 
     /// True if this member currently leads the cluster.
@@ -2196,11 +2151,8 @@ impl<M: Carries<FabricMsg> + 'static> Actor<M> for RaftOrdererActor<M> {
                                     self.on_broadcast(ctx, env);
                                 }
                             }
-                            Admission::Nack(_) => {
-                                let name = self.metric("nacked");
-                                ctx.metrics().incr(&name, 1);
-                            }
-                            Admission::Done => {}
+                            // The orderer's queue is unbounded: nothing is nacked.
+                            Admission::Nack(_) | Admission::Done => {}
                         }
                     } else if let Some(leader) = self.raft.leader_hint() {
                         // Redirect to the current leader.

@@ -1,5 +1,6 @@
 //! Gateway edge cases: endorsement mismatch across peers, endorsement
-//! policies needing multiple orgs, and commit-time policy failures.
+//! policies needing multiple orgs, commit-time policy failures, and
+//! commit events reaching only the submitting client.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -45,6 +46,8 @@ impl Chaincode for PutCc {
 #[derive(Default)]
 struct Log {
     events: Vec<GatewayEvent>,
+    /// Commit events delivered to the idle bystander client.
+    bystander_commits: usize,
 }
 
 struct OneShot {
@@ -77,13 +80,31 @@ impl Actor<FabricMsg> for OneShot {
     }
 }
 
+/// A client that submits nothing and counts the commit events it is sent.
+struct Bystander {
+    log: Rc<RefCell<Log>>,
+}
+
+impl Actor<FabricMsg> for Bystander {
+    fn on_event(&mut self, _ctx: &mut Context<'_, FabricMsg>, event: Event<FabricMsg>) {
+        if let Event::Message {
+            msg: FabricMsg::Commit(_),
+            ..
+        } = event
+        {
+            self.log.borrow_mut().bystander_commits += 1;
+        }
+    }
+}
+
 struct Net {
     sim: Simulation<FabricMsg>,
     log: Rc<RefCell<Log>>,
 }
 
 /// Builds 2 peers (org1, org2) with per-peer registries, a solo orderer,
-/// and a one-shot client needing `needed` endorsements under `policy`.
+/// a one-shot client needing `needed` endorsements under `policy`, and
+/// an idle bystander client; both clients subscribe at peer 0.
 fn build(
     registries: Vec<ChaincodeRegistry>,
     policy: EndorsementPolicy,
@@ -96,11 +117,13 @@ fn build(
         .map(|i| msp_builder.enroll(&format!("peer{i}"), &MspId::new(format!("org{}", i + 1))))
         .collect();
     let client_identity = msp_builder.enroll("client", &MspId::new("org1"));
+    let bystander_identity = msp_builder.enroll("bystander", &MspId::new("org1"));
     let msp = msp_builder.build();
 
     let mut sim = Simulation::new(8);
     let n = registries.len() as u32;
     let client_actor = ActorId(n + 1);
+    let bystander_actor = ActorId(n + 2);
     let mut peers = Vec::new();
     for (i, (identity, registry)) in ids.iter().zip(registries).enumerate() {
         let committer = Rc::new(RefCell::new(Committer::for_channel(
@@ -116,7 +139,8 @@ fn build(
             format!("p{i}"),
         );
         if i == 0 {
-            peer.subscribe(client_actor);
+            peer.subscribe(client_actor, client_identity.certificate().id);
+            peer.subscribe(bystander_actor, bystander_identity.certificate().id);
         }
         peers.push(sim.add_actor(Box::new(peer)));
     }
@@ -138,6 +162,8 @@ fn build(
         log: log.clone(),
     }));
     assert_eq!(got, client_actor);
+    let got = sim.add_actor(Box::new(Bystander { log: log.clone() }));
+    assert_eq!(got, bystander_actor);
     sim.start_timer(client_actor, SimDuration::ZERO, 0);
     Net { sim, log }
 }
@@ -219,4 +245,27 @@ fn under_collected_endorsements_invalidated_at_commit() {
     }
     // Non-default channels namespace their peer metrics.
     assert_eq!(net.sim.metrics().counter("p0.ch.tx.invalid"), 1);
+}
+
+#[test]
+fn commit_event_reaches_only_the_submitter() {
+    // Both clients share home peer 0; only the submitter hears the commit.
+    let mut net = build(
+        vec![
+            registry_with(Arc::new(PutCc)),
+            registry_with(Arc::new(PutCc)),
+        ],
+        EndorsementPolicy::any_of([MspId::new("org1"), MspId::new("org2")]),
+        1,
+        "put",
+    );
+    net.sim.run_until(SimTime::from_secs(30));
+    let log = net.log.borrow();
+    assert_eq!(log.events.len(), 1);
+    match &log.events[0] {
+        GatewayEvent::TxCommitted { code, .. } => assert_eq!(*code, ValidationCode::Valid),
+        other => panic!("expected commit, got {other:?}"),
+    }
+    assert_eq!(net.sim.metrics().counter("p0.ch.tx.valid"), 1);
+    assert_eq!(log.bystander_commits, 0);
 }
